@@ -418,7 +418,7 @@ func removeByID(list []NodeHandle, id ids.Id) []NodeHandle {
 
 // LeafSet returns the node's leaf set: predecessors (counter-clockwise,
 // nearest first) and successors (clockwise, nearest first). The returned
-// slices are copies.
+// slices are copies; hot paths iterate with EachVicinity instead.
 func (n *Node) LeafSet() (ccw, cw []NodeHandle) {
 	ccw = append([]NodeHandle(nil), n.leafCCW...)
 	cw = append([]NodeHandle(nil), n.leafCW...)
@@ -426,9 +426,27 @@ func (n *Node) LeafSet() (ccw, cw []NodeHandle) {
 }
 
 // Neighborhood returns the proximity-based neighbor set, closest first.
-// The returned slice is a copy.
+// The returned slice is a copy; hot paths iterate with EachVicinity instead.
 func (n *Node) Neighborhood() []NodeHandle {
 	return append([]NodeHandle(nil), n.neighbors...)
+}
+
+// EachVicinity calls fn for every neighborhood-set entry (closest first),
+// then every counter-clockwise and every clockwise leaf (nearest first): the
+// order Neighborhood followed by LeafSet yields, with duplicates across the
+// sets kept. It reads the tables in place and copies nothing, so a caller
+// that runs it once per message (the placement spill walk) allocates
+// nothing; fn must not change the node's tables.
+func (n *Node) EachVicinity(fn func(NodeHandle)) {
+	for _, h := range n.neighbors {
+		fn(h)
+	}
+	for _, h := range n.leafCCW {
+		fn(h)
+	}
+	for _, h := range n.leafCW {
+		fn(h)
+	}
 }
 
 // knownNodes calls fn for every distinct node the local tables reference.

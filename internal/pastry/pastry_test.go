@@ -458,6 +458,32 @@ func TestForgetRemovesEverywhere(t *testing.T) {
 	}
 }
 
+func TestEachVicinityMatchesCopyingAccessors(t *testing.T) {
+	ring, _ := buildStaticRing(t, 8, 8, HierarchyAssigner)
+	for i := 0; i < ring.Size(); i++ {
+		n := ring.Node(i)
+		ccw, cw := n.LeafSet()
+		want := append(append(n.Neighborhood(), ccw...), cw...)
+		var got []NodeHandle
+		n.EachVicinity(func(h NodeHandle) { got = append(got, h) })
+		if len(got) != len(want) {
+			t.Fatalf("node %d: EachVicinity yielded %d handles, accessors %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("node %d: position %d: EachVicinity %v, accessors %v", i, k, got[k], want[k])
+			}
+		}
+	}
+	n := ring.Node(0)
+	count := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		n.EachVicinity(func(NodeHandle) { count++ })
+	}); allocs != 0 {
+		t.Fatalf("EachVicinity allocates %.1f times per call", allocs)
+	}
+}
+
 func TestHierarchyRoutingPrefersNearbyHops(t *testing.T) {
 	// With hierarchy-assigned ids, routing to a numerically nearby key
 	// should complete with strictly fewer network hops than the worst case.

@@ -288,7 +288,7 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 	pq.n = len(q.VMs)
 	gateway := d.ring.Node(d.cfg.Gateway)
 	q.Origin = gateway.Handle()
-	d.armTimeout(q.Seq)
+	q.Deadline = d.armTimeout(q.Seq)
 	if d.cache != nil {
 		if home, ok := d.cache.Lookup(vm0.Customer); ok {
 			// Fast path: skip the overlay route, one direct hop to the
@@ -314,13 +314,16 @@ func (d *DHT) launch(q *bootQuery, pq pendingQuery) {
 	gateway.Route(q.Key, AppName, q)
 }
 
-func (d *DHT) armTimeout(seq uint64) {
+// armTimeout queues the query's timeout and returns its deadline.
+func (d *DHT) armTimeout(seq uint64) time.Duration {
 	eng := d.ring.Node(d.cfg.Gateway).Engine()
-	d.tq = append(d.tq, qTimeout{seq: seq, at: eng.Now() + d.cfg.QueryTimeout})
+	at := eng.Now() + d.cfg.QueryTimeout
+	d.tq = append(d.tq, qTimeout{seq: seq, at: at})
 	if !d.timerArmed {
 		d.timerArmed = true
 		eng.After(d.cfg.QueryTimeout, d.timerFn)
 	}
+	return at
 }
 
 func (d *DHT) onTimer() {
@@ -407,7 +410,10 @@ func (d *DHT) recordHops(h int) {
 func (d *DHT) finish(q *bootQuery) {
 	pq, ok := d.pending[q.Seq]
 	if !ok {
-		releaseQuery(q) // timed out before the answer arrived
+		// Timed out before the answer arrived: the caller already holds
+		// the timeout error, so no admit of this query may stand.
+		d.revoke(q)
+		releaseQuery(q)
 		return
 	}
 	delete(d.pending, q.Seq)
@@ -437,6 +443,21 @@ func (d *DHT) finish(q *bootQuery) {
 	releaseQuery(q)
 }
 
+// revoke undoes every admit the query made whose VM still sits where the
+// query put it. A VM the caller destroyed, or moved and placed elsewhere,
+// after its timeout is left alone.
+func (d *DHT) revoke(q *bootQuery) {
+	for i, s := range q.Servers {
+		if s < 0 {
+			continue
+		}
+		if at, placed := d.cl.LocationOf(q.VMs[i].ID); placed && at == int(s) {
+			d.cl.Unplace(q.VMs[i].ID)
+		}
+		q.Servers[i] = -1
+	}
+}
+
 // bootQuery carries a batch of one customer's VM boot requests toward the
 // customer key and then along the spill walk; with Done set, the same
 // envelope carries the per-VM answers back to the origin. The VM pointers
@@ -451,13 +472,30 @@ type bootQuery struct {
 	// Servers[i] is the server that admitted VMs[i], -1 while unplaced.
 	Servers []int32
 	// HopsAt[i] is the walk's hop count when VMs[i] was admitted.
-	HopsAt  []int32
-	Origin  pastry.NodeHandle
-	Home    pastry.NodeHandle // rendezvous where the route delivered
-	Routed  bool              // took the full overlay route (may refresh the cache)
-	Done    bool              // answer leg: heading back to Origin
-	Spill   int
-	Visited []ids.Id
+	HopsAt []int32
+	Origin pastry.NodeHandle
+	Home   pastry.NodeHandle // rendezvous where the route delivered
+	Routed bool              // took the full overlay route (may refresh the cache)
+	Done   bool              // answer leg: heading back to Origin
+	Spill  int
+	// Deadline is the virtual time at which the gateway reports the query
+	// timed out (launch time plus QueryTimeout). A walk that reaches a server
+	// at or past it admits nothing more and withdraws what it admitted.
+	Deadline time.Duration
+	// Visited lists the servers the walk has reached, in order. Only its
+	// length matters on the wire (WireSize charges a 16-byte id per entry);
+	// membership tests go to seen.
+	Visited []simnet.Addr
+	// seen is the visited set: bit a set when server address a is in
+	// Visited. It grows lazily to the highest address seen and is cleared
+	// word by word through Visited on release, so each spill hop tests a
+	// candidate in O(1) and a pooled envelope carries no stale bits.
+	//
+	// Keying by address is exact: within one ring, address and identifier
+	// are 1:1. NewRing gives Addr(i) the identifier assign(i, n), and
+	// RebuildNode restarts a server under its old address and old identifier,
+	// so "address visited" and "identifier visited" never disagree.
+	seen []uint64
 }
 
 // WireSize implements simnet.WireSizer: a realistic boot request carries the
@@ -470,13 +508,20 @@ func (q *bootQuery) WireSize() int {
 	return 64 + 20 + 24*len(q.VMs) + 16*len(q.Visited)
 }
 
-func (q *bootQuery) visited(id ids.Id) bool {
-	for _, v := range q.Visited {
-		if v == id {
-			return true
-		}
+// visit records that the walk reached server address a.
+func (q *bootQuery) visit(a simnet.Addr) {
+	q.Visited = append(q.Visited, a)
+	w := int(a >> 6)
+	if w >= len(q.seen) {
+		q.seen = append(q.seen, make([]uint64, w+1-len(q.seen))...)
 	}
-	return false
+	q.seen[w] |= 1 << uint(a&63)
+}
+
+// visited reports whether the walk has reached server address a.
+func (q *bootQuery) visited(a simnet.Addr) bool {
+	w := int(a >> 6)
+	return w < len(q.seen) && q.seen[w]&(1<<uint(a&63)) != 0
 }
 
 // queryPool recycles boot envelopes. Pre-sizing Visited for a generous walk
@@ -489,19 +534,29 @@ var queryPool = sync.Pool{New: func() any {
 		VMs:     make([]*cluster.VM, 0, 8),
 		Servers: make([]int32, 0, 8),
 		HopsAt:  make([]int32, 0, 8),
-		Visited: make([]ids.Id, 0, 64),
+		Visited: make([]simnet.Addr, 0, 64),
 	}
 }}
 
 func acquireQuery() *bootQuery { return queryPool.Get().(*bootQuery) }
 
 func releaseQuery(q *bootQuery) {
+	q.reset()
+	queryPool.Put(q)
+}
+
+// reset returns the envelope to its freshly acquired state, keeping the
+// capacity of its vectors and of the visited set.
+func (q *bootQuery) reset() {
 	for i := range q.VMs {
 		q.VMs[i] = nil
 	}
 	q.VMs = q.VMs[:0]
 	q.Servers = q.Servers[:0]
 	q.HopsAt = q.HopsAt[:0]
+	for _, a := range q.Visited {
+		q.seen[a>>6] = 0
+	}
 	q.Visited = q.Visited[:0]
 	q.Seq = 0
 	q.Customer = ""
@@ -511,7 +566,7 @@ func releaseQuery(q *bootQuery) {
 	q.Routed = false
 	q.Done = false
 	q.Spill = 0
-	queryPool.Put(q)
+	q.Deadline = 0
 }
 
 // dhtAgent is the per-server protocol handler.
@@ -549,9 +604,32 @@ func (a *dhtAgent) HandleDirect(_ pastry.NodeHandle, payload simnet.Message) {
 }
 
 func (a *dhtAgent) tryAdmit(q *bootQuery) {
-	q.Visited = append(q.Visited, a.node.ID())
+	if a.node.Engine().Now() >= q.Deadline {
+		// The gateway has reported, or is reporting at this instant, that
+		// the query timed out. Admitting now would place a VM its caller
+		// was told failed (or has destroyed), so withdraw and end the walk
+		// without a reply.
+		a.d.revoke(q)
+		releaseQuery(q)
+		return
+	}
+	q.visit(a.node.Addr())
+	if a.admit(q) == 0 || q.Spill >= a.d.cfg.MaxSpillHops {
+		a.reply(q)
+		return
+	}
+	next := a.nextSpillTarget(q)
+	if next.IsNil() {
+		a.reply(q)
+		return
+	}
+	a.node.SendDirect(next, AppName, q)
+}
+
+// admit places every still-unplaced VM of the query this server can take
+// and returns how many remain unplaced.
+func (a *dhtAgent) admit(q *bootQuery) (unplaced int) {
 	srv := a.d.cl.Server(a.server)
-	unplaced := 0
 	for i, vm := range q.VMs {
 		if q.Servers[i] >= 0 {
 			continue
@@ -565,48 +643,33 @@ func (a *dhtAgent) tryAdmit(q *bootQuery) {
 		}
 		unplaced++
 	}
-	if unplaced == 0 || q.Spill >= a.d.cfg.MaxSpillHops {
-		a.reply(q)
-		return
-	}
-	next := a.nextSpillTarget(q)
-	if next.IsNil() {
-		a.reply(q)
-		return
-	}
-	a.node.SendDirect(next, AppName, q)
+	return unplaced
 }
 
 // nextSpillTarget picks the closest unvisited server among the node's
 // neighborhood and leaf sets: under hierarchy identifiers these are the
 // physically adjacent machines, so the walk grows the customer's footprint
 // outward from its home rack.
+//
+// A hop costs O(|M|+|L|) bit tests and allocates nothing: EachVicinity
+// reads the tables in place and visited is one word lookup, so a walk of h
+// hops costs O(h·(|M|+|L|)) however long it runs.
 func (a *dhtAgent) nextSpillTarget(q *bootQuery) pastry.NodeHandle {
 	best := pastry.NoHandle
 	var bestLat time.Duration
-	self := a.node.Handle()
-	consider := func(h pastry.NodeHandle) {
-		if h.IsNil() || q.visited(h.Id) {
+	self := a.node.Addr()
+	a.node.EachVicinity(func(h pastry.NodeHandle) {
+		if h.IsNil() || q.visited(h.Addr) {
 			return
 		}
-		lat := a.node.LatencyBetween(self.Addr, h.Addr)
+		lat := a.node.LatencyBetween(self, h.Addr)
 		switch {
 		case best.IsNil(), lat < bestLat:
 			best, bestLat = h, lat
 		case lat == bestLat && ids.CloserTo(q.Key, h.Id, best.Id):
 			best = h
 		}
-	}
-	for _, h := range a.node.Neighborhood() {
-		consider(h)
-	}
-	ccw, cw := a.node.LeafSet()
-	for _, h := range ccw {
-		consider(h)
-	}
-	for _, h := range cw {
-		consider(h)
-	}
+	})
 	return best
 }
 

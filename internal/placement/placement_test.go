@@ -1,12 +1,16 @@
 package placement
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"vbundle/internal/cluster"
+	"vbundle/internal/ids"
 	"vbundle/internal/pastry"
 	"vbundle/internal/sim"
+	"vbundle/internal/simnet"
 	"vbundle/internal/topology"
 )
 
@@ -363,5 +367,151 @@ func TestSortServers(t *testing.T) {
 	order := SortServers(w.cl)
 	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// sentMsgs totals the messages every server has sent.
+func (w *world) sentMsgs() int {
+	total := 0
+	for a := 0; a < w.cl.Size(); a++ {
+		total += w.ring.Network().CountersOf(simnet.Addr(a)).MsgsSent
+	}
+	return total
+}
+
+// TestTimedOutQueryAdmitsNothing is the regression test for a walk that
+// outlives its query: the gateway reports the timeout, so the walk must
+// neither admit anything later nor keep what it admitted before, and must
+// send no spill message from the deadline on — whether the caller keeps the
+// failed VMs or destroys them (as the serving layer does).
+func TestTimedOutQueryAdmitsNothing(t *testing.T) {
+	for _, destroy := range []bool{false, true} {
+		name := "keep"
+		if destroy {
+			name = "destroy"
+		}
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, 32, 8, 200) // 256 servers, two 100 Mbps VMs each
+			const free = 200
+			customer := ""
+			for i := 0; customer == ""; i++ {
+				c := fmt.Sprintf("late%d", i)
+				pod := func(s int) int { return w.topo.PodOf(w.topo.RackOf(s)) }
+				if pod(int(w.ring.ClosestLive(ids.HashString(c)).Addr())) != pod(free) {
+					customer = c
+				}
+			}
+			home := int(w.ring.ClosestLive(ids.HashString(customer)).Addr())
+			// Every server is full except one slot at the customer's home
+			// and server free, which lies in another pod: more than 32
+			// servers of walk away, far beyond the 20 ms timeout.
+			for s := 0; s < w.cl.Size(); s++ {
+				fill := 2
+				switch s {
+				case free:
+					fill = 0
+				case home:
+					fill = 1
+				}
+				for k := 0; k < fill; k++ {
+					vm, _ := w.cl.CreateVM("filler", bwRes(100), bwRes(100))
+					if err := w.cl.Place(vm, s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			const timeout = 20 * time.Millisecond
+			d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: timeout})
+			vms := make([]*cluster.VM, 2)
+			for i := range vms {
+				vms[i], _ = w.cl.CreateVM(customer, bwRes(100), bwRes(100))
+			}
+			var errs []error
+			d.PlaceBatch(vms, func(i int, _ Result, err error) {
+				errs = append(errs, err)
+				if destroy {
+					w.cl.Destroy(vms[i].ID)
+				}
+			})
+			deadline := w.engine.Now() + timeout
+			admitted := false
+			sentBefore := w.sentMsgs()
+			for w.engine.Step() {
+				if _, placed := w.cl.LocationOf(vms[0].ID); placed {
+					admitted = true
+				}
+				if w.engine.Now() < deadline {
+					sentBefore = w.sentMsgs()
+				}
+			}
+			if !admitted {
+				t.Fatal("the walk never admitted the first VM at home; the scenario tests nothing")
+			}
+			if len(errs) != 2 || errs[0] == nil || errs[1] == nil || !strings.Contains(errs[0].Error(), "timed out") {
+				t.Fatalf("callbacks got %v, want two timeouts", errs)
+			}
+			if d.Timeouts() != 1 {
+				t.Fatalf("timeouts = %d, want 1", d.Timeouts())
+			}
+			for _, vm := range vms {
+				if s, placed := w.cl.LocationOf(vm.ID); placed {
+					t.Errorf("vm %d stayed placed on server %d after its query timed out", vm.ID, s)
+				}
+			}
+			if n := w.cl.Server(free).NumVMs(); n != 0 {
+				t.Errorf("server %d holds %d VMs", free, n)
+			}
+			if n := w.cl.Server(home).NumVMs(); n != 1 {
+				t.Errorf("home server %d holds %d VMs, want its filler only", home, n)
+			}
+			if sent := w.sentMsgs(); sent != sentBefore {
+				t.Errorf("%d messages sent at or after the deadline", sent-sentBefore)
+			}
+		})
+	}
+}
+
+// TestLateAnswerIsWithdrawn covers the other timeout race: the walk admits
+// before the deadline, but its answer reaches the gateway after the timer
+// fired. The caller holds the timeout, so the admit must not stand.
+func TestLateAnswerIsWithdrawn(t *testing.T) {
+	run := func(timeout time.Duration) (*world, *DHT, *cluster.VM, Result, error, time.Duration) {
+		w := newWorld(t, 8, 8, 1000)
+		d := NewDHT(w.ring, w.cl, DHTConfig{QueryTimeout: timeout})
+		vm, _ := w.cl.CreateVM("IBM", bwRes(100), bwRes(200))
+		var (
+			res    Result
+			resErr error
+			at     time.Duration
+		)
+		d.Place(vm, func(r Result, err error) { res, resErr, at = r, err, w.engine.Now() })
+		w.engine.Run()
+		return w, d, vm, res, resErr, at
+	}
+	w, _, _, res, err, answeredAt := run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Server == 0 {
+		t.Fatal("the rendezvous is the gateway itself; the answer has no flight time")
+	}
+	// Expire the timer 1 µs before the answer lands: after the admit (one
+	// network latency earlier), before the answer.
+	flight := w.topo.Latency(res.Server, 0)
+	if flight <= time.Microsecond {
+		t.Fatalf("answer flight time %v too short", flight)
+	}
+	w, d, vm, _, err, _ := run(answeredAt - time.Microsecond)
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("got %v, want a timeout", err)
+	}
+	if d.Timeouts() != 1 {
+		t.Fatalf("timeouts = %d, want 1", d.Timeouts())
+	}
+	if s, placed := w.cl.LocationOf(vm.ID); placed {
+		t.Fatalf("vm stayed placed on server %d after its query timed out", s)
+	}
+	if n := w.cl.Server(res.Server).NumVMs(); n != 0 {
+		t.Fatalf("server %d holds %d VMs", res.Server, n)
 	}
 }

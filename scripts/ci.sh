@@ -150,14 +150,31 @@ rm -f /tmp/vb-serve-ci /tmp/vb-serve1.txt /tmp/vb-serve4.txt /tmp/vb-serve-flash
 # on allocs/op. Allocation counts are deterministic (unlike wall time on the
 # shared CI box), so this catches a reintroduced per-node map or closure at
 # the cheapest rung that still builds a real multi-rack ring. Current cost
-# is ~41.6k allocs; the ceiling leaves ~25% headroom.
+# is ~41.6k allocs; the ceiling leaves ~25% headroom. The pattern is
+# anchored: unanchored, it also matches the BenchmarkFig14Scale131072 to
+# ...1048576 rungs, which then run in full and need more than 8 GB.
 echo "== alloc ceiling smoke (Fig 14, 2048 servers)"
-go test -run '^$' -bench 'BenchmarkFig14Scale/servers=2048$' -benchtime 1x -benchmem . > /tmp/vb-alloc.txt
+go test -run '^$' -bench '^BenchmarkFig14Scale$/^servers=2048$' -benchtime 1x -benchmem . > /tmp/vb-alloc.txt
 allocs=$(awk '/servers=2048/ {print $(NF-1)}' /tmp/vb-alloc.txt)
 [ -n "$allocs" ] || { echo "FAIL: no allocs/op parsed"; cat /tmp/vb-alloc.txt; exit 1; }
 [ "$allocs" -le 52000 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 52000"; exit 1; }
 echo "allocs/op at 2048 servers: $allocs (ceiling 52000)"
 rm -f /tmp/vb-alloc.txt
+
+# Alloc-ceiling smoke for the placement spill walk: one boot query that
+# walks past 200 servers of a saturated region. The walk itself allocates
+# nothing per hop (in-place candidate iteration, visited bitset in the
+# envelope); the ~5 allocs/op left are per query. Any per-hop copy or
+# visited-set allocation adds at least 200, far above the ceiling.
+echo "== alloc ceiling smoke (placement long walk)"
+go test -run '^$' -bench 'BenchmarkBootQueryLongWalk$' -benchtime 1x -benchmem ./internal/placement/ > /tmp/vb-walk.txt
+allocs=$(awk '/^BenchmarkBootQueryLongWalk/ {print $(NF-1)}' /tmp/vb-walk.txt)
+hops=$(awk '/^BenchmarkBootQueryLongWalk/ {for (i = 2; i <= NF; i++) if ($i == "hops/op") print int($(i-1))}' /tmp/vb-walk.txt)
+[ -n "$allocs" ] && [ -n "$hops" ] || { echo "FAIL: no allocs/op or hops/op parsed"; cat /tmp/vb-walk.txt; exit 1; }
+[ "$hops" -ge 200 ] || { echo "FAIL: long walk took only $hops hops"; exit 1; }
+[ "$allocs" -le 32 ] || { echo "FAIL: $allocs allocs/op over a $hops-hop walk exceeds ceiling 32"; exit 1; }
+echo "allocs/op over a $hops-hop walk: $allocs (ceiling 32)"
+rm -f /tmp/vb-walk.txt
 
 # One iteration of every benchmark (a few seconds): catches benchmarks that
 # panic or fail to build without measuring anything. -short skips the
