@@ -67,3 +67,39 @@ func BenchmarkRouteDelivery(b *testing.B) {
 		engine.Run()
 	}
 }
+
+// BenchmarkConsider measures folding gossiped handles into a converged
+// node: one node of a statically built 8192-server ring takes in a recorded
+// stream of what its maintenance peers send it — the leaf-set snapshots of
+// its leaves and the routing-table rows of its row-0 peers. On a converged
+// ring nearly every handle changes nothing, so this is the cost of the
+// early rejections; it must not allocate.
+func BenchmarkConsider(b *testing.B) {
+	_, ring := benchRing(b, 8192)
+	node := ring.Node(4096)
+	var stream []NodeHandle
+	record := func(peer NodeHandle, hs []NodeHandle) {
+		stream = append(stream, peer)
+		stream = append(stream, hs...)
+	}
+	ccw, cw := node.LeafSet()
+	for _, leaf := range append(cw, ccw...) {
+		peer := ring.Node(int(leaf.Addr))
+		pcw, pccw := peer.leafSnapshot()
+		record(leaf, append(pcw, pccw...))
+	}
+	cfg := node.Config()
+	for col := 0; col < cfg.cols(); col++ {
+		if e := node.RoutingTableEntry(0, col); !e.IsNil() {
+			peer := ring.Node(int(e.Addr))
+			for row := 0; row < peer.rtRows; row++ {
+				record(e, peer.rowEntries(row))
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node.Consider(stream[i%len(stream)])
+	}
+}

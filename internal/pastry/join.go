@@ -22,8 +22,13 @@ func (n *Node) Join(bootstrap simnet.Addr) {
 
 // handleJoinForward processes one hop of a join routed toward the joiner's
 // identifier.
+//
+// The joiner is folded into the local tables only after the routing rows
+// are harvested and the next hop is decided. Folded in first, it would be
+// the closest known node to its own identifier, NextHop would name it, and
+// this node would answer with its own leaf set even when it is nowhere near
+// the joiner on the ring.
 func (n *Node) handleJoinForward(m *joinForward) {
-	n.Consider(m.Joiner)
 	// Contribute the routing rows a node at this prefix depth can supply:
 	// every populated entry in rows 0..l, where l is the length of the
 	// prefix shared with the joiner.
@@ -41,21 +46,23 @@ func (n *Node) handleJoinForward(m *joinForward) {
 	}
 	m.Rows = append(m.Rows, n.handle)
 
-	next := n.NextHop(m.Joiner.Id)
-	if next.IsNil() || next.Id == m.Joiner.Id {
+	joiner := m.Joiner
+	next := n.NextHop(joiner.Id)
+	if next.IsNil() || next.Id == joiner.Id {
 		// We are numerically closest to the joiner: reply with our leaf
 		// set, which (shifted by one position) becomes the joiner's.
-		n.net.Send(n.handle.Addr, m.Joiner.Addr, &joinReply{
+		n.net.Send(n.handle.Addr, joiner.Addr, &joinReply{
 			From:    n.handle,
 			Rows:    m.Rows,
 			LeafCW:  append([]NodeHandle(nil), n.leafCW...),
 			LeafCCW: append([]NodeHandle(nil), n.leafCCW...),
 			Hops:    m.Hops,
 		})
-		return
+	} else {
+		m.Hops++
+		n.net.Send(n.handle.Addr, next.Addr, m)
 	}
-	m.Hops++
-	n.net.Send(n.handle.Addr, next.Addr, m)
+	n.Consider(joiner)
 }
 
 // handleJoinReply installs the harvested state and announces the new node.

@@ -85,12 +85,12 @@ type Node struct {
 	// safe and keeps the periodic paths allocation-free.
 	probeScratch []NodeHandle
 	seenScratch  map[ids.Id]struct{}
-	// handleFree recycles the slices leaf-set snapshots are copied into.
-	// Each slice has a single owner: created by leafSnapshot, embedded in
-	// exactly one in-flight leafExchange, consumed once by the receiving
-	// node's handleLeafExchange — which banks it in its own free list, so in
-	// steady state maintenance rounds allocate nothing. Slices of dropped
-	// messages are simply garbage-collected.
+	// handleFree recycles the slices leaf-set and routing-row snapshots are
+	// copied into. Each slice has a single owner: created by leafSnapshot or
+	// rowEntries, embedded in exactly one in-flight leafExchange or
+	// rtExchange, consumed once by the receiving node's handler — which banks
+	// it in its own free list, so in steady state maintenance rounds allocate
+	// nothing. Slices of dropped messages are simply garbage-collected.
 	handleFree [][]NodeHandle
 	// envFree and dirFree recycle consumed envelopes. An envelope has a
 	// single owner at all times — created at Route/SendDirect, handed to the
@@ -352,8 +352,16 @@ func (n *Node) leafInsert(h NodeHandle) {
 	n.leafCCW = insertSortedByDist(n.leafCCW, h, half, func(x ids.Id) ids.Id { return n.ccwDist(x) })
 }
 
+// insertSortedByDist inserts h into list, kept sorted by dist and bounded
+// by max entries. A full list whose last entry is no farther than h rejects
+// h before the search: the insert would land past the bound and be
+// truncated away, or h is that last entry already. On converged tables this
+// is the outcome of nearly every call.
 func insertSortedByDist(list []NodeHandle, h NodeHandle, max int, dist func(ids.Id) ids.Id) []NodeHandle {
 	d := dist(h.Id)
+	if k := len(list); k > 0 && k >= max && !d.Less(dist(list[k-1].Id)) {
+		return list
+	}
 	pos := sort.Search(len(list), func(i int) bool {
 		return !dist(list[i].Id).Less(d)
 	})
@@ -369,22 +377,35 @@ func insertSortedByDist(list []NodeHandle, h NodeHandle, max int, dist func(ids.
 	return list
 }
 
+// neighborInsert inserts h into the neighborhood set, kept sorted by
+// proximity to self with ties (same rack) broken by ring closeness, and
+// bounded by NeighborhoodSize. Like insertSortedByDist it first asks the
+// one question that settles most calls on a converged table — does h sort
+// ahead of the last entry of a full set? — with the exact predicate the
+// search uses, at the cost of one extra proximity call. Only then does it
+// scan for a duplicate and binary-search the slot.
 func (n *Node) neighborInsert(h NodeHandle) {
-	d := n.prox(n.handle.Addr, h.Addr)
-	pos := sort.Search(len(n.neighbors), func(i int) bool {
-		di := n.prox(n.handle.Addr, n.neighbors[i].Addr)
+	self := n.handle
+	d := n.prox(self.Addr, h.Addr)
+	// after reports whether the entry at i sorts after h (the search
+	// predicate).
+	after := func(i int) bool {
+		di := n.prox(self.Addr, n.neighbors[i].Addr)
 		if di != d {
 			return di > d
 		}
-		// Proximity ties (same rack) break by ring closeness, keeping the
-		// neighborhood set deterministic.
-		return !ids.CloserTo(n.handle.Id, n.neighbors[i].Id, h.Id)
-	})
+		return !ids.CloserTo(self.Id, n.neighbors[i].Id, h.Id)
+	}
+	k := len(n.neighbors)
+	if k >= n.cfg.NeighborhoodSize && !after(k-1) {
+		return
+	}
 	for _, nb := range n.neighbors {
 		if nb.Id == h.Id {
 			return
 		}
 	}
+	pos := sort.Search(k, after)
 	n.neighbors = append(n.neighbors, NodeHandle{})
 	copy(n.neighbors[pos+1:], n.neighbors[pos:])
 	n.neighbors[pos] = h
@@ -610,13 +631,17 @@ func (n *Node) leafSnapshot() (cw, ccw []NodeHandle) {
 	return append(n.getHandles(), n.leafCW...), append(n.getHandles(), n.leafCCW...)
 }
 
+// getHandles returns an empty snapshot slice from the free list, or a fresh
+// one. Fresh slices are sized for the larger of a leaf half and a full
+// routing-table row, so a recycled slice never has to grow whichever
+// snapshot it is reused for.
 func (n *Node) getHandles() []NodeHandle {
 	if k := len(n.handleFree); k > 0 {
 		s := n.handleFree[k-1]
 		n.handleFree = n.handleFree[:k-1]
 		return s[:0]
 	}
-	return nil
+	return make([]NodeHandle, 0, max(n.cfg.cols(), n.cfg.LeafSize/2))
 }
 
 func (n *Node) recycleHandles(s []NodeHandle) {
@@ -716,6 +741,7 @@ func (n *Node) rtMaintenance() {
 		row := (start + k) % rows
 		entries := n.rowEntries(row)
 		if len(entries) == 0 {
+			n.recycleHandles(entries)
 			continue
 		}
 		peer := entries[n.rng.Intn(len(entries))]
@@ -726,11 +752,12 @@ func (n *Node) rtMaintenance() {
 	}
 }
 
-// rowEntries returns the populated entries of one routing-table row. The
-// slice is freshly allocated (sized to the row) because callers embed it in
-// messages that outlive the call.
+// rowEntries returns the populated entries of one routing-table row. Callers
+// embed the slice in a message that outlives the call, so it is a snapshot
+// with a single owner, drawn from the handle free list like leafSnapshot's;
+// the receiving handleRTExchange recycles it.
 func (n *Node) rowEntries(row int) []NodeHandle {
-	out := make([]NodeHandle, 0, n.cfg.cols())
+	out := n.getHandles()
 	for col := 0; col < n.cfg.cols(); col++ {
 		if e := n.rtGet(row, col); !e.IsNil() {
 			out = append(out, e)
@@ -744,15 +771,14 @@ func (n *Node) handleRTExchange(m *rtExchange) {
 	for _, h := range m.Entries {
 		n.Consider(h)
 	}
-	if m.Reply {
-		return
+	if !m.Reply && m.Row >= 0 && m.Row < n.cfg.rows() {
+		n.net.Send(n.handle.Addr, m.From.Addr, &rtExchange{
+			From: n.handle, Row: m.Row, Entries: n.rowEntries(m.Row), Reply: true,
+		})
 	}
-	if m.Row < 0 || m.Row >= n.cfg.rows() {
-		return
-	}
-	n.net.Send(n.handle.Addr, m.From.Addr, &rtExchange{
-		From: n.handle, Row: m.Row, Entries: n.rowEntries(m.Row), Reply: true,
-	})
+	// As in handleLeafExchange, this handler is the message's single point
+	// of consumption.
+	n.recycleHandles(m.Entries)
 }
 
 // probe pings a peer; failures re-probe immediately until ProbeRetries

@@ -654,3 +654,156 @@ func TestSmallRingsRouteCorrectly(t *testing.T) {
 		})
 	}
 }
+
+// TestProtocolJoinLeafSetsWithoutMaintenance joins 256 randomly identified
+// nodes, each through its physical predecessor (a bootstrap that is almost
+// never its ring neighbour), and checks every node's immediate ring
+// neighbours against the identifier order with no maintenance round to
+// repair them: the join alone must deliver the right leaf set.
+func TestProtocolJoinLeafSetsWithoutMaintenance(t *testing.T) {
+	engine := sim.NewEngine(7)
+	ring := NewRing(engine, testTopo(t, 16, 16), Config{}, RandomAssigner) // 256 nodes
+	done := ring.JoinAll(500 * time.Millisecond)
+	engine.RunUntil(time.Duration(ring.Size())*500*time.Millisecond + 30*time.Second)
+	if !done() {
+		t.Fatal("not all nodes joined")
+	}
+	engine.Run()
+	n := ring.Size()
+	wrong := 0
+	for i, node := range ring.Nodes() {
+		p := ring.pos[i]
+		ccw, cw := node.LeafSet()
+		if len(cw) == 0 || len(ccw) == 0 ||
+			cw[0].Id != ring.sortedIDs[(p+1)%n] || ccw[0].Id != ring.sortedIDs[(p-1+n)%n] {
+			wrong++
+		}
+	}
+	if wrong != 0 {
+		t.Errorf("%d of %d nodes have the wrong immediate ring neighbours", wrong, n)
+	}
+}
+
+// rtSpy stands in for a node's network handler, copying every routing-row
+// exchange it receives from one sender before passing the message on.
+type rtSpy struct {
+	inner    *Node
+	from     NodeHandle
+	received *[]rtExchange
+}
+
+func (s rtSpy) HandleMessage(from simnet.Addr, msg simnet.Message) {
+	if m, ok := msg.(*rtExchange); ok && m.From == s.from {
+		*s.received = append(*s.received, rtExchange{
+			From: m.From, Row: m.Row, Reply: m.Reply,
+			Entries: append([]NodeHandle(nil), m.Entries...),
+		})
+	}
+	s.inner.HandleMessage(from, msg)
+}
+
+// TestRowSnapshotSingleOwner checks that a routing-row snapshot sent in an
+// rtExchange stays exactly the sender's row at send time until delivery,
+// however hard the sender churns its tables and its snapshot free list while
+// the message is in flight: more maintenance rounds, row exchanges it
+// consumes, rows rewritten by Forget and Consider.
+func TestRowSnapshotSingleOwner(t *testing.T) {
+	ring, _ := buildStaticRing(t, 8, 8, RandomAssigner)
+	engine := ring.Engine()
+	sender := ring.Node(0)
+	var received []rtExchange
+	for _, n := range ring.Nodes()[1:] {
+		ring.Network().Attach(n.Addr(), rtSpy{inner: n, from: sender.Handle(), received: &received})
+	}
+	cfg := sender.Config()
+	rowAt := func(row int) []NodeHandle {
+		var out []NodeHandle
+		for col := 0; col < cfg.cols(); col++ {
+			if e := sender.RoutingTableEntry(row, col); !e.IsNil() {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	// Phase 1: sends from unchanged tables, so each in-flight snapshot must
+	// equal the row as it stands now.
+	want := make(map[int][]NodeHandle)
+	for row := 0; row < cfg.rows(); row++ {
+		want[row] = rowAt(row)
+	}
+	const sends = 12
+	for i := 0; i < sends; i++ {
+		sender.rtMaintenance()
+	}
+	// Phase 2, before any delivery: churn the free list and rewrite rows.
+	peer := ring.Node(1).Handle()
+	for i := 0; i < 20; i++ {
+		cw, ccw := sender.leafSnapshot()
+		for k := range cw {
+			cw[k] = peer
+		}
+		sender.recycleHandles(cw)
+		sender.recycleHandles(ccw)
+		for row := 0; row < 3; row++ {
+			s := sender.rowEntries(row)
+			s = append(s[:0], peer, peer, peer)
+			sender.handleRTExchange(&rtExchange{From: peer, Row: row, Entries: s, Reply: true})
+		}
+	}
+	for row := 0; row < cfg.rows(); row++ {
+		for _, h := range rowAt(row) {
+			sender.Forget(h.Id)
+		}
+	}
+	for _, n := range ring.Nodes()[1:] {
+		sender.Consider(n.Handle())
+	}
+	engine.Run()
+	requests := 0
+	for _, m := range received {
+		if m.Reply {
+			continue
+		}
+		requests++
+		w := want[m.Row]
+		if len(m.Entries) != len(w) {
+			t.Fatalf("row %d snapshot has %d entries at delivery, %d at send", m.Row, len(m.Entries), len(w))
+		}
+		for k := range w {
+			if m.Entries[k] != w[k] {
+				t.Fatalf("row %d snapshot entry %d changed in flight: %v, sent %v", m.Row, k, m.Entries[k], w[k])
+			}
+		}
+	}
+	if requests != sends {
+		t.Fatalf("%d row exchanges delivered, %d sent", requests, sends)
+	}
+}
+
+// TestShardedMaintenanceMatchesSerial runs maintenance rounds with a
+// failure on a serial and a four-shard engine and requires identical tables
+// on every node and identical per-node traffic. Under -race it also checks
+// that snapshot slices recycled across shards are never shared.
+func TestShardedMaintenanceMatchesSerial(t *testing.T) {
+	run := func(engine *sim.Engine) *Ring {
+		ring := NewRing(engine, testTopo(t, 8, 8), Config{}, RandomAssigner)
+		ring.BuildStatic()
+		ring.StartMaintenance()
+		engine.RunFor(2 * 30 * time.Second)
+		ring.Network().Kill(ring.Node(17).Addr())
+		engine.RunFor(6 * 30 * time.Second)
+		ring.StopMaintenance()
+		engine.Run()
+		return ring
+	}
+	serial := run(sim.NewEngine(9))
+	sharded := run(sim.NewShardedEngine(9, 4))
+	for i := 0; i < serial.Size(); i++ {
+		if d := sameTables(serial.Node(i), sharded.Node(i)); d != "" {
+			t.Fatalf("node %d: serial and sharded tables differ: %s", i, d)
+		}
+		if a, b := serial.Network().CountersOf(simnet.Addr(i)), sharded.Network().CountersOf(simnet.Addr(i)); a != b {
+			t.Fatalf("node %d: serial traffic %+v, sharded %+v", i, a, b)
+		}
+	}
+}

@@ -180,14 +180,21 @@ func (ti Tier) String() string {
 	}
 }
 
-// TierBetween classifies the path between two servers.
+// TierBetween classifies the path between two servers. It is the proximity
+// metric behind every Pastry table insert, so it resolves each server's rack
+// once (one range check and one division each) and derives both pods from
+// the two racks, which are in range by construction. Out-of-range servers
+// panic through RackOf, a before b; a == b short-circuits to TierLocal
+// before any check.
 func (t *Topology) TierBetween(a, b int) Tier {
-	switch {
-	case a == b:
+	if a == b {
 		return TierLocal
-	case t.SameRack(a, b):
+	}
+	ra, rb := t.RackOf(a), t.RackOf(b)
+	switch {
+	case ra == rb:
 		return TierRack
-	case t.SamePod(a, b):
+	case ra/t.racksPerPod == rb/t.racksPerPod:
 		return TierPod
 	default:
 		return TierCore
@@ -231,10 +238,17 @@ func (t *Topology) ToRUplinkMbps() float64 {
 	return float64(t.spec.ServersPerRack) * t.spec.NICMbps / t.spec.Oversubscription
 }
 
+// checkServer panics unless server is in range. The panic lives in its own
+// function so that checkServer, RackOf and TierBetween stay inlinable on the
+// proximity hot path.
 func (t *Topology) checkServer(server int) {
 	if server < 0 || server >= t.servers {
-		panic(fmt.Sprintf("topology: server %d out of range [0,%d)", server, t.servers))
+		t.serverOutOfRange(server)
 	}
+}
+
+func (t *Topology) serverOutOfRange(server int) {
+	panic(fmt.Sprintf("topology: server %d out of range [0,%d)", server, t.servers))
 }
 
 // Flow is a unidirectional traffic stream between two servers.

@@ -34,6 +34,12 @@ go test -race -run 'Resilience|NoLeak|LeaseExpiry|Orphan|Anycast|Fault|Dead|Deat
 echo "== shard packages -race"
 go test -race ./internal/sim/ ./internal/simnet/
 
+# Pastry maintenance under the race detector, un-shortened, including the
+# serial-vs-sharded maintenance run: snapshot slices travel between nodes on
+# different shards and are recycled by their receivers.
+echo "== pastry maintenance -race"
+go test -race -run 'Maintenance|Snapshot|Join|Failure|Dead|Lossy' ./internal/pastry/
+
 # One small fault sweep end to end: vb-faults exits nonzero if any run
 # leaks a reservation or a drop rate fails to parse.
 echo "== vb-faults smoke"
@@ -73,6 +79,14 @@ diff /tmp/vb-shards1.txt /tmp/vb-shards4.txt
 echo "== sharded determinism diff (Fig 14, 2048 servers, dynamic windows, 1 vs 8 shards)"
 /tmp/vb-overhead-ci -fig 14 -max-servers 2048 -shards 1 -workers 1 > /tmp/vb-shards1.txt
 /tmp/vb-overhead-ci -fig 14 -max-servers 2048 -shards 8 -workers 1 > /tmp/vb-shards4.txt
+diff /tmp/vb-shards1.txt /tmp/vb-shards4.txt
+
+# The Fig. 15 maintenance path (leaf-set and routing-row exchanges, probes,
+# recycled snapshot slices) at 2048 servers: its per-host message table must
+# be byte-identical at -shards 1 and -shards 4.
+echo "== sharded determinism diff (Fig 15, 2048 servers, 1 vs 4 shards)"
+/tmp/vb-overhead-ci -fig 15 -max-servers 2048 -shards 1 -workers 1 > /tmp/vb-shards1.txt
+/tmp/vb-overhead-ci -fig 15 -max-servers 2048 -shards 4 -workers 1 > /tmp/vb-shards4.txt
 diff /tmp/vb-shards1.txt /tmp/vb-shards4.txt
 
 # The smallest of the new ladder rungs (524288 servers), single point via
@@ -159,6 +173,18 @@ allocs=$(awk '/servers=2048/ {print $(NF-1)}' /tmp/vb-alloc.txt)
 [ -n "$allocs" ] || { echo "FAIL: no allocs/op parsed"; cat /tmp/vb-alloc.txt; exit 1; }
 [ "$allocs" -le 52000 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 52000"; exit 1; }
 echo "allocs/op at 2048 servers: $allocs (ceiling 52000)"
+rm -f /tmp/vb-alloc.txt
+
+# Alloc-ceiling smoke for Pastry table maintenance: the 2048-server Fig. 15
+# point, gated on allocs/op. Routing-row snapshots come from the per-node
+# handle free list and are recycled by the receiver; current cost is ~574k
+# allocs/op, and a fresh slice per row exchange (~825k) fails the ceiling.
+echo "== alloc ceiling smoke (Fig 15, 2048 servers)"
+go test -run '^$' -bench '^BenchmarkFig15Scale$/^servers=2048$' -benchtime 1x -benchmem . > /tmp/vb-alloc.txt
+allocs=$(awk '/servers=2048/ {print $(NF-1)}' /tmp/vb-alloc.txt)
+[ -n "$allocs" ] || { echo "FAIL: no allocs/op parsed"; cat /tmp/vb-alloc.txt; exit 1; }
+[ "$allocs" -le 660000 ] || { echo "FAIL: $allocs allocs/op at 2048 servers exceeds ceiling 660000"; exit 1; }
+echo "allocs/op at 2048 servers: $allocs (ceiling 660000)"
 rm -f /tmp/vb-alloc.txt
 
 # Alloc-ceiling smoke for the placement spill walk: one boot query that
