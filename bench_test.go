@@ -32,7 +32,7 @@ func placementParams(engine core.EngineKind, waves int, seed int64) experiments.
 		VMsPerWavePerCustomer: 200, // 1000 VMs per wave across 5 customers
 		Waves:                 waves,
 		Engine:                engine,
-		Seed:                  seed,
+		Run:                   experiments.Run{Seed: seed},
 	}
 }
 
@@ -80,7 +80,7 @@ func rebalanceParams(servers int, threshold float64, seed int64) experiments.Reb
 		VMsPerServer: 10,
 		Threshold:    threshold,
 		Duration:     75 * time.Minute,
-		Seed:         seed,
+		Run:          experiments.Run{Seed: seed},
 	}
 }
 
@@ -145,7 +145,7 @@ func BenchmarkFig11Satisfaction(b *testing.B) {
 
 func BenchmarkFig12FailedCalls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunQoS(experiments.QoSParams{Seed: int64(i)})
+		out, err := experiments.RunQoS(experiments.QoSParams{Run: experiments.Run{Seed: int64(i)}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func BenchmarkFig12FailedCalls(b *testing.B) {
 
 func BenchmarkFig13ResponseCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunQoS(experiments.QoSParams{Seed: int64(i)})
+		out, err := experiments.RunQoS(experiments.QoSParams{Run: experiments.Run{Seed: int64(i)}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func BenchmarkFig14AggregationLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
 			Sizes: []int{16, 64, 256, 1024},
-			Seed:  int64(i),
+			Run:   experiments.Run{Seed: int64(i)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -305,7 +305,7 @@ func BenchmarkFig15MessageOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out, err := experiments.RunMessageOverhead(experiments.MessageOverheadParams{
 			Sizes: []int{512, 1024},
-			Seed:  1,
+			Run:   experiments.Run{Seed: 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -330,7 +330,8 @@ func BenchmarkFig14Scale(b *testing.B) {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-					Sizes: []int{n}, Seed: int64(i), Parallelism: 1,
+					Sizes: []int{n}, Parallelism: 1,
+					Run: experiments.Run{Seed: int64(i)},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -355,7 +356,8 @@ func BenchmarkFig15Scale(b *testing.B) {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := experiments.RunMessageOverhead(experiments.MessageOverheadParams{
-					Sizes: []int{n}, Seed: 1, Parallelism: 1,
+					Sizes: []int{n}, Parallelism: 1,
+					Run: experiments.Run{Seed: 1},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -393,7 +395,8 @@ func BenchmarkFig14Sharded(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-					Sizes: []int{8192}, Seed: int64(i), Parallelism: 1, Shards: shards,
+					Sizes: []int{8192}, Parallelism: 1,
+					Run: experiments.Run{Seed: int64(i), Shards: shards},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -431,7 +434,8 @@ func BenchmarkFig14Scale32768(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-			Sizes: []int{32768}, Seed: int64(i), Parallelism: 1, Shards: 4,
+			Sizes: []int{32768}, Parallelism: 1,
+			Run: experiments.Run{Seed: int64(i), Shards: 4},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -455,7 +459,8 @@ func benchFig14Point(b *testing.B, servers int) {
 	}
 	for i := 0; i < b.N; i++ {
 		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-			Sizes: []int{servers}, Seed: int64(i), Parallelism: 1, Shards: 4,
+			Sizes: []int{servers}, Parallelism: 1,
+			Run: experiments.Run{Seed: int64(i), Shards: 4},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -538,8 +543,8 @@ func BenchmarkSweepParallelism(b *testing.B) {
 	params := func(workers int) experiments.AggLatencyParams {
 		return experiments.AggLatencyParams{
 			Sizes:       []int{16, 32, 64, 128, 256, 512},
-			Seed:        1,
 			Parallelism: workers,
+			Run:         experiments.Run{Seed: 1},
 		}
 	}
 	for _, bc := range []struct {
@@ -659,7 +664,7 @@ func BenchmarkAblationPlacementEngine(b *testing.B) {
 					VMsPerWavePerCustomer: 100,
 					Waves:                 2,
 					Engine:                kind,
-					Seed:                  int64(i),
+					Run:                   experiments.Run{Seed: int64(i)},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -742,7 +747,7 @@ func BenchmarkChurnLocality(b *testing.B) {
 					Spec:     spec,
 					Duration: 3 * time.Hour,
 					Engine:   kind,
-					Seed:     int64(i),
+					Run:      experiments.Run{Seed: int64(i)},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -764,8 +769,7 @@ func bootServeParams(servers int, rate float64, cache, batch bool, shards int, s
 		Prewarm:    2,
 		Cache:      cache,
 		Batch:      batch,
-		Seed:       seed,
-		Shards:     shards,
+		Run:        experiments.Run{Seed: seed, Shards: shards},
 	}
 }
 

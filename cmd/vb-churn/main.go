@@ -17,11 +17,7 @@ import (
 	"os"
 	"time"
 
-	"vbundle/internal/audit"
-	"vbundle/internal/core"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 )
 
 func main() {
@@ -33,30 +29,19 @@ func main() {
 		hours    = flag.Float64("hours", 4, "virtual hours of churn")
 		arrivals = flag.Float64("arrivals-per-min", 2, "mean VM arrivals per minute per customer")
 		lifetime = flag.Float64("lifetime-min", 30, "mean VM lifetime in minutes")
-		seed     = flag.Int64("seed", 1, "random seed")
 		trials   = flag.Int("trials", 1, "independent trials at seeds seed..seed+trials-1")
 		workers  = flag.Int("workers", 0, "concurrent trials (0 = all cores, 1 = sequential)")
-		shards   = flag.Int("shards", 0, "engine shards per trial (0 = serial reference engine)")
 		jsonOut  = flag.String("json", "", "file to write the outcome as JSON")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 
-	kind := map[string]core.EngineKind{
-		"dht": core.EngineDHT, "greedy": core.EngineGreedy, "random": core.EngineRandom,
-	}[*engine]
-	if kind == 0 {
-		log.Fatalf("unknown engine %q", *engine)
+	kind, err := experiments.ParseEngine(*engine)
+	if err != nil {
+		rf.Fatal(err)
 	}
 	p := experiments.ChurnParams{
 		Spec:              experiments.ScaledSpec(*servers),
@@ -64,23 +49,22 @@ func main() {
 		MeanLifetime:      time.Duration(*lifetime * float64(time.Minute)),
 		Duration:          time.Duration(*hours * float64(time.Hour)),
 		Engine:            kind,
-		Seed:              *seed,
-		Shards:            *shards,
-		Obs:               oflags.Config(),
-		Audit:             aflags.Config(),
+		Run:               run,
 	}
 	seeds := make([]int64, *trials)
 	for i := range seeds {
-		seeds[i] = *seed + int64(i)
+		seeds[i] = run.Seed + int64(i)
 	}
 	outs, err := experiments.RunChurnTrials(p, seeds, *workers)
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
 	var meanLoc float64
-	for _, out := range outs {
+	observed := make([]experiments.Observed, len(outs))
+	for i, out := range outs {
 		out.Report(os.Stdout)
 		meanLoc += out.MeanLocality
+		observed[i] = out.Observed
 	}
 	if len(outs) > 1 {
 		fmt.Printf("mean same-rack fraction over %d trials: %.3f\n", len(outs), meanLoc/float64(len(outs)))
@@ -91,21 +75,11 @@ func main() {
 			payload = outs
 		}
 		if err := experiments.WriteJSON(*jsonOut, payload); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 	}
 	// The written trace is the last trial's.
-	if err := oflags.Write(outs[len(outs)-1].Trace); err != nil {
-		log.Fatal(err)
-	}
-	violated := false
-	for _, o := range outs {
-		o.Audit.Report(os.Stderr)
-		if o.Audit.Violations() > 0 {
-			violated = true
-		}
-	}
-	if violated {
-		os.Exit(1)
+	if rf.Finish(observed...) {
+		rf.Exit(1)
 	}
 }

@@ -28,10 +28,7 @@ import (
 	"strings"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 )
 
 func main() {
@@ -46,40 +43,41 @@ func main() {
 		rates     = flag.String("drop-rates", "0,0.01,0.02,0.05", "comma-separated message loss probabilities")
 		kill      = flag.Int("kill", 1, "receivers to kill mid-run")
 		killAt    = flag.Int("kill-at", 0, "kill time in minutes (0 = duration/3)")
-		seed      = flag.Int64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
-		shards    = flag.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
 		verbose   = flag.Bool("v", false, "print the full per-run report, not just the sweep table")
 
 		crash        = flag.Bool("crash", false, "crash receivers for real (blank handler + durable-store reboot) instead of pausing them")
 		restartAfter = flag.Int("restart-after", 0, "crash downtime in minutes before the reboot (0 = 2x update interval)")
 		crashForever = flag.Int("crash-forever", 0, "additional receivers crashed with no restart at all")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 
 	drops, err := parseRates(*rates)
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
 	if *crash {
-		runCrashSweep(drops, crashArgs{
-			servers: *servers, perServer: *perServer, threshold: *threshold,
-			duration: *duration, lease: *lease, kill: *kill, killAt: *killAt,
-			restartAfter: *restartAfter, crashForever: *crashForever,
-			seed: *seed, workers: *workers, shards: *shards,
-			verbose: *verbose, oflags: &oflags, aflags: &aflags,
-		})
+		variants := make([]experiments.CrashRestartParams, len(drops))
+		for i, d := range drops {
+			variants[i] = experiments.CrashRestartParams{
+				Spec:          experiments.ScaledSpec(*servers),
+				VMsPerServer:  *perServer,
+				Threshold:     *threshold,
+				Duration:      time.Duration(*duration) * time.Minute,
+				LeaseDuration: time.Duration(*lease) * time.Minute,
+				DropRate:      d,
+				CrashNodes:    *kill,
+				CrashForever:  *crashForever,
+				CrashAt:       time.Duration(*killAt) * time.Minute,
+				RestartAfter:  time.Duration(*restartAfter) * time.Minute,
+				Run:           run,
+			}
+		}
+		runCrashSweep(&rf, variants, *workers, *verbose)
 		return
 	}
 	variants := make([]experiments.ResilienceParams, len(drops))
@@ -93,15 +91,12 @@ func main() {
 			DropRate:      d,
 			KillReceivers: *kill,
 			KillAt:        time.Duration(*killAt) * time.Minute,
-			Seed:          *seed,
-			Shards:        *shards,
-			Obs:           oflags.Config(),
-			Audit:         aflags.Config(),
+			Run:           run,
 		}
 	}
 	outs, err := experiments.RunResilienceSweep(variants, *workers)
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
 	if *verbose {
 		for _, out := range outs {
@@ -111,72 +106,41 @@ func main() {
 	experiments.WriteResilienceTable(os.Stdout, outs)
 
 	leaked := 0
-	for _, out := range outs {
+	observed := make([]experiments.Observed, len(outs))
+	for i, out := range outs {
 		leaked += out.Leaked
+		observed[i] = out.Observed
 	}
 	// The written trace is the last sweep variant's (the highest loss rate,
 	// where recoveries are most interesting).
-	if err := oflags.Write(outs[len(outs)-1].Trace); err != nil {
-		log.Fatal(err)
-	}
-	if reportAudits(outs, func(o *experiments.ResilienceOutcome) *audit.Auditor { return o.Audit }) {
-		os.Exit(1)
+	if rf.Finish(observed...) {
+		rf.Exit(1)
 	}
 	if leaked != 0 {
-		log.Fatalf("%d reservations leaked across the sweep", leaked)
+		rf.Fatal(fmt.Errorf("%d reservations leaked across the sweep", leaked))
 	}
 	fmt.Println("no reservations leaked at quiesce in any run")
 }
 
-type crashArgs struct {
-	servers, perServer            int
-	threshold                     float64
-	duration, lease, kill, killAt int
-	restartAfter, crashForever    int
-	seed                          int64
-	workers, shards               int
-	verbose                       bool
-	oflags                        *obs.Flags
-	aflags                        *audit.Flags
-}
-
 // runCrashSweep is the -crash mode: one crash-restart-recover run per drop
 // rate, gated on full recovery.
-func runCrashSweep(drops []float64, a crashArgs) {
-	variants := make([]experiments.CrashRestartParams, len(drops))
-	for i, d := range drops {
-		variants[i] = experiments.CrashRestartParams{
-			Spec:          experiments.ScaledSpec(a.servers),
-			VMsPerServer:  a.perServer,
-			Threshold:     a.threshold,
-			Duration:      time.Duration(a.duration) * time.Minute,
-			LeaseDuration: time.Duration(a.lease) * time.Minute,
-			DropRate:      d,
-			CrashNodes:    a.kill,
-			CrashForever:  a.crashForever,
-			CrashAt:       time.Duration(a.killAt) * time.Minute,
-			RestartAfter:  time.Duration(a.restartAfter) * time.Minute,
-			Seed:          a.seed,
-			Shards:        a.shards,
-			Obs:           a.oflags.Config(),
-			Audit:         a.aflags.Config(),
-		}
-	}
-	outs, err := experiments.RunCrashRestartSweep(variants, a.workers)
+func runCrashSweep(rf *experiments.Flags, variants []experiments.CrashRestartParams, workers int, verbose bool) {
+	outs, err := experiments.RunCrashRestartSweep(variants, workers)
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
-	if a.verbose {
+	if verbose {
 		for _, out := range outs {
 			out.WriteCrashRestart(os.Stdout)
 		}
 	}
 	experiments.WriteCrashRestartTable(os.Stdout, outs)
-	if err := a.oflags.Write(outs[len(outs)-1].Trace); err != nil {
-		log.Fatal(err)
+	observed := make([]experiments.Observed, len(outs))
+	for i, out := range outs {
+		observed[i] = out.Observed
 	}
-	if reportAudits(outs, func(o *experiments.CrashRestartOutcome) *audit.Auditor { return o.Audit }) {
-		os.Exit(1)
+	if rf.Finish(observed...) {
+		rf.Exit(1)
 	}
 	failed := 0
 	for _, out := range outs {
@@ -187,23 +151,9 @@ func runCrashSweep(drops []float64, a crashArgs) {
 		}
 	}
 	if failed != 0 {
-		log.Fatalf("%d of %d crash-restart runs failed the recovery gate", failed, len(outs))
+		rf.Fatal(fmt.Errorf("%d of %d crash-restart runs failed the recovery gate", failed, len(outs)))
 	}
 	fmt.Println("every crash-restart run recovered fully: no VM lost, no reservation leaked")
-}
-
-// reportAudits writes every run's auditor report to stderr and reports
-// whether any invariant was violated.
-func reportAudits[T any](outs []T, auditor func(T) *audit.Auditor) bool {
-	violated := false
-	for _, out := range outs {
-		a := auditor(out)
-		a.Report(os.Stderr)
-		if a.Violations() > 0 {
-			violated = true
-		}
-	}
-	return violated
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -16,10 +16,7 @@ import (
 	"log"
 	"os"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 	"vbundle/internal/report"
 )
 
@@ -31,26 +28,16 @@ func main() {
 		maxN    = flag.Int("max-servers", 1024, "largest ring size to sweep")
 		minN    = flag.Int("min-servers", 16, "smallest ring size to sweep (CI uses min=max to gate one big rung without paying for the whole ladder)")
 		iters   = flag.Int("iterations", 1000, "Table I iterations per operation")
-		seed    = flag.Int64("seed", 1, "random seed")
 		svgDir  = flag.String("svg", "", "directory to write SVG figures into")
 		workers = flag.Int("workers", 0, "concurrent sweep points (0 = all cores, 1 = sequential)")
-		shards  = flag.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 	charts := map[string]*report.Chart{}
-	var lastTrace *obs.Trace
-	var audits []*audit.Auditor
+	var observed []experiments.Observed
 
 	var sizes []int
 	for n := 16; n <= *maxN; n *= 2 {
@@ -59,30 +46,27 @@ func main() {
 		}
 	}
 	if len(sizes) == 0 {
-		log.Fatalf("empty sweep: no power of two in [%d, %d]", *minN, *maxN)
+		rf.Fatal(fmt.Errorf("empty sweep: no power of two in [%d, %d]", *minN, *maxN))
 	}
 
 	if *fig == 0 || *fig == 1 {
 		out, err := experiments.RunTable1(experiments.Table1Params{
 			Servers:    min(512, *maxN),
 			Iterations: *iters,
-			Seed:       *seed,
+			Seed:       run.Seed,
 		})
 		if err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		out.Report(os.Stdout)
 	}
 	if *fig == 0 || *fig == 14 {
-		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{Sizes: sizes, Seed: *seed, Parallelism: *workers, Shards: *shards, Obs: oflags.Config(), Audit: aflags.Config()})
+		out, err := experiments.RunAggLatency(experiments.AggLatencyParams{Sizes: sizes, Parallelism: *workers, Run: run})
 		if err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		out.Report(os.Stdout)
-		if out.Trace != nil {
-			lastTrace = out.Trace
-		}
-		audits = append(audits, out.Audit)
+		observed = append(observed, out.Observed)
 		for stem, chart := range out.Charts() {
 			charts[stem] = chart
 		}
@@ -97,43 +81,23 @@ func main() {
 		if len(big) == 0 {
 			big = sizes
 		}
-		out, err := experiments.RunMessageOverhead(experiments.MessageOverheadParams{Sizes: big, Seed: *seed, Parallelism: *workers, Shards: *shards, Obs: oflags.Config(), Audit: aflags.Config()})
+		out, err := experiments.RunMessageOverhead(experiments.MessageOverheadParams{Sizes: big, Parallelism: *workers, Run: run})
 		if err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		out.Report(os.Stdout)
-		if out.Trace != nil {
-			lastTrace = out.Trace
-		}
-		audits = append(audits, out.Audit)
+		observed = append(observed, out.Observed)
 		for stem, chart := range out.Charts() {
 			charts[stem] = chart
 		}
 	}
 	if *svgDir != "" && len(charts) > 0 {
 		if err := experiments.WriteSVGs(*svgDir, charts); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		fmt.Printf("wrote SVG figures to %s\n", *svgDir)
 	}
-	if err := oflags.Write(lastTrace); err != nil {
-		log.Fatal(err)
+	if rf.Finish(observed...) {
+		rf.Exit(1)
 	}
-	violated := false
-	for _, a := range audits {
-		a.Report(os.Stderr)
-		if a.Violations() > 0 {
-			violated = true
-		}
-	}
-	if violated {
-		os.Exit(1)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -18,11 +18,7 @@ import (
 	"log"
 	"os"
 
-	"vbundle/internal/audit"
-	"vbundle/internal/core"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 )
 
 func main() {
@@ -33,58 +29,41 @@ func main() {
 		waves   = flag.Int("waves", 1, "provisioning waves (1 = Fig 7, 2 = Fig 8)")
 		vms     = flag.Int("vms", 1000, "VMs per customer per wave")
 		servers = flag.Int("servers", 3000, "approximate server count")
-		seed    = flag.Int64("seed", 1, "random seed")
 		trials  = flag.Int("trials", 1, "independent trials at seeds seed..seed+trials-1")
 		workers = flag.Int("workers", 0, "concurrent trials (0 = all cores, 1 = sequential)")
-		shards  = flag.Int("shards", 0, "engine shards per trial (0 = serial reference engine)")
 		dots    = flag.Bool("dots", false, "print the raw scatter points")
 		svgDir  = flag.String("svg", "", "directory to write SVG figures into")
 		jsonOut = flag.String("json", "", "file to write the outcome as JSON")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
+	run := rf.Start()
+	defer rf.Stop()
+
+	kind, err := experiments.ParseEngine(*engine)
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
-	defer stopProf()
-
-	kind := core.EngineDHT
-	switch *engine {
-	case "dht":
-	case "greedy":
-		kind = core.EngineGreedy
-	case "random":
-		kind = core.EngineRandom
-	default:
-		log.Fatalf("unknown engine %q", *engine)
-	}
-
 	p := experiments.PlacementParams{
 		Spec:                  experiments.ScaledSpec(*servers),
 		VMsPerWavePerCustomer: *vms,
 		Waves:                 *waves,
 		Engine:                kind,
-		Seed:                  *seed,
-		Shards:                *shards,
-		Obs:                   oflags.Config(),
-		Audit:                 aflags.Config(),
+		Run:                   run,
 	}
 	seeds := make([]int64, *trials)
 	for i := range seeds {
-		seeds[i] = *seed + int64(i)
+		seeds[i] = run.Seed + int64(i)
 	}
 	outs, err := experiments.RunPlacementTrials(p, seeds, *workers)
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
-	for _, o := range outs {
+	observed := make([]experiments.Observed, len(outs))
+	for i, o := range outs {
 		o.Report(os.Stdout)
+		observed[i] = o.Observed
 	}
 	out := outs[len(outs)-1]
 	if *jsonOut != "" {
@@ -93,12 +72,12 @@ func main() {
 			payload = outs
 		}
 		if err := experiments.WriteJSON(*jsonOut, payload); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 	}
 	if *svgDir != "" {
 		if err := experiments.WriteSVGs(*svgDir, out.Charts()); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		fmt.Printf("wrote SVG figures to %s\n", *svgDir)
 	}
@@ -110,17 +89,7 @@ func main() {
 		}
 	}
 	// The written trace is the last trial's.
-	if err := oflags.Write(out.Trace); err != nil {
-		log.Fatal(err)
-	}
-	violated := false
-	for _, o := range outs {
-		o.Audit.Report(os.Stderr)
-		if o.Audit.Violations() > 0 {
-			violated = true
-		}
-	}
-	if violated {
-		os.Exit(1)
+	if rf.Finish(observed...) {
+		rf.Exit(1)
 	}
 }

@@ -16,10 +16,7 @@ import (
 	"log"
 	"os"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 )
 
 func main() {
@@ -29,34 +26,22 @@ func main() {
 		fig     = flag.Int("fig", 0, "figure to print: 12, 13, or 0 for both")
 		hosts   = flag.Int("hosts", 15, "physical hosts")
 		perHost = flag.Int("vms-per-host", 15, "VMs per host")
-		seed    = flag.Int64("seed", 1, "random seed")
-		shards  = flag.Int("shards", 0, "engine shards (0 = serial reference engine)")
 		svgDir  = flag.String("svg", "", "directory to write SVG figures into")
 		jsonOut = flag.String("json", "", "file to write the outcome as JSON")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 
 	out, err := experiments.RunQoS(experiments.QoSParams{
 		Hosts:      *hosts,
 		VMsPerHost: *perHost,
-		Seed:       *seed,
-		Shards:     *shards,
-		Obs:        oflags.Config(),
-		Audit:      aflags.Config(),
+		Run:        run,
 	})
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
 	switch *fig {
 	case 0:
@@ -67,21 +52,20 @@ func main() {
 	case 13:
 		out.WriteFig13(os.Stdout)
 	default:
-		log.Fatalf("unknown figure %d (want 12, 13 or 0)", *fig)
+		rf.Fatal(fmt.Errorf("unknown figure %d (want 12, 13 or 0)", *fig))
 	}
 	if *jsonOut != "" {
 		if err := experiments.WriteJSON(*jsonOut, out); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 	}
 	if *svgDir != "" {
 		if err := experiments.WriteSVGs(*svgDir, out.Charts()); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		fmt.Printf("wrote SVG figures to %s\n", *svgDir)
 	}
-	if err := oflags.Write(out.Trace); err != nil {
-		log.Fatal(err)
+	if rf.Finish(out.Observed) {
+		rf.Exit(1)
 	}
-	audit.Exit(out.Audit, os.Stderr)
 }

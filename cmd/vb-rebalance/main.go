@@ -17,10 +17,7 @@ import (
 	"os"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 	"vbundle/internal/report"
 )
 
@@ -33,39 +30,23 @@ func main() {
 		perServer = flag.Int("vms-per-server", 25, "VMs per server")
 		threshold = flag.Float64("threshold", 0, "rebalancing threshold (0 = figure default)")
 		duration  = flag.Int("duration", 75, "virtual experiment length in minutes")
-		seed      = flag.Int64("seed", 1, "random seed")
 		svgDir    = flag.String("svg", "", "directory to write SVG figures into")
 		workers   = flag.Int("workers", 0, "concurrent sweep variants (0 = all cores, 1 = sequential)")
-		shards    = flag.Int("shards", 0, "engine shards per run (0 = serial reference engine)")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 	charts := map[string]*report.Chart{}
 	// Sweeps run several variants; the trace written at exit is the last
 	// variant's (pass -threshold to trace a single Fig. 9 run).
-	var lastTrace *obs.Trace
-	auditViolations := 0
+	var observed []experiments.Observed
 	collect := func(suffix string, out *experiments.RebalanceOutcome) {
 		for stem, chart := range out.Charts() {
 			charts[stem+suffix] = chart
 		}
-		if out.Trace != nil {
-			lastTrace = out.Trace
-		}
-		if out.Audit != nil {
-			out.Audit.Report(os.Stderr)
-			auditViolations += out.Audit.Violations()
-		}
+		observed = append(observed, out.Observed)
 	}
 
 	base := experiments.RebalanceParams{
@@ -73,10 +54,7 @@ func main() {
 		VMsPerServer: *perServer,
 		Threshold:    *threshold,
 		Duration:     time.Duration(*duration) * time.Minute,
-		Seed:         *seed,
-		Shards:       *shards,
-		Obs:          oflags.Config(),
-		Audit:        aflags.Config(),
+		Run:          run,
 	}
 
 	switch *fig {
@@ -94,7 +72,7 @@ func main() {
 		}
 		outs, err := experiments.RunRebalanceSweep(variants, *workers)
 		if err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		for i, out := range outs {
 			out.WriteFig9(os.Stdout)
@@ -113,7 +91,7 @@ func main() {
 		}
 		outs, err := experiments.RunRebalanceSweep(variants, *workers)
 		if err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		for i, out := range outs {
 			out.WriteFig10(os.Stdout)
@@ -122,23 +100,20 @@ func main() {
 	case 11:
 		out, err := experiments.RunRebalance(base)
 		if err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		out.WriteFig11(os.Stdout)
 		collect("", out)
 	default:
-		log.Fatalf("unknown figure %d (want 9, 10 or 11)", *fig)
+		rf.Fatal(fmt.Errorf("unknown figure %d (want 9, 10 or 11)", *fig))
 	}
 	if *svgDir != "" {
 		if err := experiments.WriteSVGs(*svgDir, charts); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 		fmt.Printf("wrote SVG figures to %s\n", *svgDir)
 	}
-	if err := oflags.Write(lastTrace); err != nil {
-		log.Fatal(err)
-	}
-	if auditViolations > 0 {
-		os.Exit(1)
+	if rf.Finish(observed...) {
+		rf.Exit(1)
 	}
 }

@@ -19,14 +19,12 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/experiments"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 )
 
 func main() {
@@ -46,22 +44,13 @@ func main() {
 		maxInFl   = flag.Int("max-inflight", 0, "admission-control cap on unresolved boot VMs (0 = unlimited)")
 		maxBatch  = flag.Int("max-batch", 0, "max VMs per coalesced query (0 = default)")
 		rebal     = flag.Bool("rebalance", false, "run the periodic rebalancer during the stream")
-		seed      = flag.Int64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "engine shards (0 = serial reference engine)")
 		jsonOut   = flag.String("json", "", "file to write the outcome as JSON")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 
 	out, err := experiments.RunServe(experiments.ServeParams{
 		Spec:              experiments.ScaledSpec(*servers),
@@ -77,26 +66,22 @@ func main() {
 		MaxInFlight:       *maxInFl,
 		MaxBatch:          *maxBatch,
 		Rebalance:         *rebal,
-		Seed:              *seed,
-		Shards:            *shards,
-		Obs:               oflags.Config(),
-		Audit:             aflags.Config(),
+		Run:               run,
 	})
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
 	out.Report(os.Stdout)
 	if *jsonOut != "" {
 		if err := experiments.WriteJSON(*jsonOut, out); err != nil {
-			log.Fatal(err)
+			rf.Fatal(err)
 		}
 	}
-	if err := oflags.Write(out.Trace); err != nil {
-		log.Fatal(err)
+	if rf.Finish(out.Observed) {
+		rf.Exit(1)
 	}
-	audit.Exit(out.Audit, os.Stderr)
 	if out.LeakedReservations != 0 || out.Unresolved != 0 {
-		log.Fatalf("hygiene violation: %d leaked reservations, %d unresolved boots",
-			out.LeakedReservations, out.Unresolved)
+		rf.Fatal(fmt.Errorf("hygiene violation: %d leaked reservations, %d unresolved boots",
+			out.LeakedReservations, out.Unresolved))
 	}
 }

@@ -16,17 +16,13 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/costbenefit"
 	"vbundle/internal/experiments"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
-	"vbundle/internal/profiling"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/workload"
 )
@@ -41,31 +37,20 @@ func main() {
 		engine       = flag.String("engine", "dht", "placement engine: dht, greedy or random")
 		threshold    = flag.Float64("threshold", 0.183, "rebalancing threshold")
 		hours        = flag.Float64("hours", 2, "virtual hours to simulate")
-		seed         = flag.Int64("seed", 1, "random seed")
 		multiKind    = flag.Bool("multi-resource", false, "rebalance on CPU+memory+bandwidth (§VII extension)")
 		sameCustomer = flag.Bool("same-customer", false, "restrict exchanges to each customer's own bundle")
 		costBenefit  = flag.Bool("cost-benefit", false, "veto migrations whose cost exceeds the recovered bandwidth")
 		loss         = flag.Float64("loss", 0, "overlay message loss probability")
-		shards       = flag.Int("shards", 0, "engine shards (0 = serial reference engine)")
 	)
-	var prof profiling.Config
-	prof.AddFlags(flag.CommandLine)
-	var oflags obs.Flags
-	oflags.AddFlags(flag.CommandLine)
-	var aflags audit.Flags
-	aflags.AddFlags(flag.CommandLine)
+	var rf experiments.Flags
+	rf.AddFlags(flag.CommandLine)
 	flag.Parse()
-	stopProf, err := prof.Start()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProf()
+	run := rf.Start()
+	defer rf.Stop()
 
-	kind := map[string]core.EngineKind{
-		"dht": core.EngineDHT, "greedy": core.EngineGreedy, "random": core.EngineRandom,
-	}[*engine]
-	if kind == 0 {
-		log.Fatalf("unknown engine %q", *engine)
+	kind, err := experiments.ParseEngine(*engine)
+	if err != nil {
+		rf.Fatal(err)
 	}
 
 	rebalCfg := rebalance.Config{Threshold: *threshold, SameCustomerOnly: *sameCustomer}
@@ -75,27 +60,22 @@ func main() {
 	if *costBenefit {
 		rebalCfg.CostBenefit = &costbenefit.Config{}
 	}
-	trace := oflags.Config().New()
-	vb, err := core.New(core.Options{
+	vb, observed, err := run.Build(core.Options{
 		Topology:    experiments.ScaledSpec(*servers),
-		Seed:        *seed,
-		Shards:      *shards,
 		Engine:      kind,
 		Rebalance:   rebalCfg,
 		MessageLoss: *loss,
-		Trace:       trace,
 	})
 	if err != nil {
-		log.Fatal(err)
+		rf.Fatal(err)
 	}
-	auditor := vb.AttachAudit(aflags.Config())
 	if *loss > 0 {
 		vb.StartMaintenance(30 * time.Second)
 	}
 
 	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: 20}
 	lim := cluster.Resources{CPU: 4, MemMB: 128, BandwidthMbps: vb.Topo.NICMbps()}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(rand.NewSource(run.Seed))
 	booted, failed := 0, 0
 	for c := 0; c < *customers; c++ {
 		name := fmt.Sprintf("customer-%02d", c)
@@ -142,10 +122,9 @@ func main() {
 	fmt.Printf("final: mean util %.3f, SD %.4f, max %.3f, migrations completed %d, queries %d\n",
 		metrics.MeanOf(snap), metrics.StdOf(snap), maxOf(snap),
 		vb.Migration.Stats().Completed, vb.Rebalancer.QueriesSent())
-	if err := oflags.Write(trace); err != nil {
-		log.Fatal(err)
+	if rf.Finish(observed) {
+		rf.Exit(1)
 	}
-	audit.Exit(auditor, os.Stderr)
 }
 
 func maxOf(v []float64) float64 {

@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	out, err := experiments.RunQoS(experiments.QoSParams{Seed: 1})
+	out, err := experiments.RunQoS(experiments.QoSParams{Run: experiments.Run{Seed: 1}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/placement"
 	"vbundle/internal/topology"
@@ -40,16 +38,7 @@ type ChurnParams struct {
 	Engine core.EngineKind
 	// ReservationMbps is each VM's bandwidth reservation.
 	ReservationMbps float64
-	// Seed drives arrivals and lifetimes.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	Run
 }
 
 func (p ChurnParams) withDefaults() ChurnParams {
@@ -95,28 +84,17 @@ type ChurnOutcome struct {
 	Arrived, Departed, Rejected int
 	// MeanLocality averages the sampled locality over the whole run.
 	MeanLocality float64
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Observed     `json:"-"`
 }
 
 // RunChurn executes the churn experiment.
 func RunChurn(p ChurnParams) (*ChurnOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Engine:   p.Engine,
-		Trace:    trace,
-	})
+	vb, o, err := p.Build(core.Options{Topology: p.Spec, Engine: p.Engine})
 	if err != nil {
 		return nil, err
 	}
-	out := &ChurnOutcome{Params: p, Engine: vb.Placer.Name(), Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &ChurnOutcome{Params: p, Engine: vb.Placer.Name(), Observed: o}
 	rng := vb.Engine.Rand()
 	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: p.ReservationMbps}
 	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: p.ReservationMbps * 2}

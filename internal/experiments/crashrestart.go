@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
 	"vbundle/internal/migration"
-	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/store"
@@ -57,16 +55,7 @@ type CrashRestartParams struct {
 	// RestartAfter is the downtime before a crashed node reboots; defaults
 	// to 2×UpdateInterval.
 	RestartAfter time.Duration
-	// Seed drives the synthetic load and the loss draws.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	Run
 }
 
 func (p CrashRestartParams) withDefaults() CrashRestartParams {
@@ -151,21 +140,14 @@ type CrashRestartOutcome struct {
 	Reserve rebalance.ReserveStats
 	// Migrations/MigrationsCompleted count rebalancing activity.
 	Migrations, MigrationsCompleted int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Observed                        `json:"-"`
 }
 
 // RunCrashRestart executes one crash-restart-recover run.
 func RunCrashRestart(p CrashRestartParams) (*CrashRestartOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
+	vb, o, err := p.Build(core.Options{
 		Topology:    p.Spec,
-		Seed:        p.Seed,
-		Shards:      p.Shards,
-		Trace:       trace,
 		MessageLoss: p.DropRate,
 		Store:       store.NewMem(),
 		Rebalance: rebalance.Config{
@@ -184,8 +166,7 @@ func RunCrashRestart(p CrashRestartParams) (*CrashRestartOutcome, error) {
 		return nil, err
 	}
 
-	out := &CrashRestartOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &CrashRestartOutcome{Params: p, Observed: o}
 	out.BeforeSD = liveSD(vb)
 	out.VMsBefore = vb.Cluster.NumVMs()
 	sample := func() { out.SD.Add(vb.Now(), liveSD(vb)) }

@@ -25,9 +25,7 @@ func smallCrashRestart(servers int, seed int64, shards int, cfg obs.Config) Cras
 		CrashNodes:        2,
 		CrashForever:      1,
 		RestartAfter:      4 * time.Minute,
-		Seed:              seed,
-		Shards:            shards,
-		Obs:               cfg,
+		Run:               Run{Seed: seed, Shards: shards, Obs: cfg},
 	}
 }
 

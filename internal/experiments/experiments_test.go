@@ -28,7 +28,7 @@ func smallPlacement(engine core.EngineKind, waves int) PlacementParams {
 		VMsPerWavePerCustomer: 100,
 		Waves:                 waves,
 		Engine:                engine,
-		Seed:                  3,
+		Run:                   Run{Seed: 3},
 	}
 }
 
@@ -92,7 +92,7 @@ func smallRebalance(threshold float64) RebalanceParams {
 		RebalanceInterval: 5 * time.Minute,
 		Duration:          40 * time.Minute,
 		SampleEvery:       time.Minute,
-		Seed:              5,
+		Run:               Run{Seed: 5},
 	}
 }
 
@@ -177,7 +177,7 @@ func TestFig11SatisfiedApproachesDemand(t *testing.T) {
 }
 
 func TestFig12And13QoSRecovers(t *testing.T) {
-	out, err := RunQoS(QoSParams{Seed: 2})
+	out, err := RunQoS(QoSParams{Run: Run{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig12And13QoSRecovers(t *testing.T) {
 }
 
 func TestFig14LatencyGrowsLinearlyWithExponentialServers(t *testing.T) {
-	out, err := RunAggLatency(AggLatencyParams{Sizes: []int{16, 64, 256}, Seed: 1})
+	out, err := RunAggLatency(AggLatencyParams{Sizes: []int{16, 64, 256}, Run: Run{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestFig14LatencyGrowsLinearlyWithExponentialServers(t *testing.T) {
 }
 
 func TestFig15OverheadGrowsSubLinearly(t *testing.T) {
-	out, err := RunMessageOverhead(MessageOverheadParams{Sizes: []int{64, 256}, Seed: 1})
+	out, err := RunMessageOverhead(MessageOverheadParams{Sizes: []int{64, 256}, Run: Run{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestChurnDHTKeepsLocality(t *testing.T) {
 			Duration:              2 * time.Hour,
 			SampleEvery:           10 * time.Minute,
 			Engine:                engine,
-			Seed:                  4,
+			Run:                   Run{Seed: 4},
 		})
 		if err != nil {
 			t.Fatal(err)

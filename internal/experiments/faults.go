@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
 	"vbundle/internal/migration"
-	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/topology"
@@ -47,16 +45,7 @@ type ResilienceParams struct {
 	KillReceivers int
 	// KillAt is when the kills happen; defaults to Duration/3.
 	KillAt time.Duration
-	// Seed drives the synthetic load and the loss draws.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	Run
 }
 
 func (p ResilienceParams) withDefaults() ResilienceParams {
@@ -125,10 +114,7 @@ type ResilienceOutcome struct {
 	// FailedDead pair counts migrations aborted against dead endpoints.
 	Migrations, MigrationsCompleted  int
 	FailedDeadDest, FailedDeadSource int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Observed                         `json:"-"`
 }
 
 // liveSD is the utilization standard deviation over servers still alive.
@@ -145,12 +131,8 @@ func liveSD(vb *core.VBundle) float64 {
 // RunResilience executes one fault-injection run.
 func RunResilience(p ResilienceParams) (*ResilienceOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
+	vb, o, err := p.Build(core.Options{
 		Topology:    p.Spec,
-		Seed:        p.Seed,
-		Shards:      p.Shards,
-		Trace:       trace,
 		MessageLoss: p.DropRate,
 		Rebalance: rebalance.Config{
 			Threshold:         p.Threshold,
@@ -168,8 +150,7 @@ func RunResilience(p ResilienceParams) (*ResilienceOutcome, error) {
 		return nil, err
 	}
 
-	out := &ResilienceOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &ResilienceOutcome{Params: p, Observed: o}
 	out.BeforeSD = liveSD(vb)
 	sample := func() { out.SD.Add(vb.Now(), liveSD(vb)) }
 	sample()

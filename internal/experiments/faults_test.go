@@ -18,7 +18,7 @@ func smallResilience(drop float64, kills int) ResilienceParams {
 		Duration:          30 * time.Minute,
 		DropRate:          drop,
 		KillReceivers:     kills,
-		Seed:              5,
+		Run:               Run{Seed: 5},
 	}
 }
 

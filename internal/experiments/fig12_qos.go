@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/topology"
 	"vbundle/internal/workload"
@@ -39,16 +37,7 @@ type QoSParams struct {
 	Duration time.Duration
 	// SampleEvery is the SIPp evaluation step.
 	SampleEvery time.Duration
-	// Seed drives jitter.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	Run
 }
 
 func (p QoSParams) withDefaults() QoSParams {
@@ -97,10 +86,7 @@ type QoSOutcome struct {
 	Migrations int
 	// TotalOffered and TotalFailed are SIPp call totals.
 	TotalOffered, TotalFailed int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Observed                  `json:"-"`
 }
 
 // RunQoS executes the testbed reproduction.
@@ -116,12 +102,8 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		LANHop:           time.Millisecond,
 		LocalDelivery:    50 * time.Microsecond,
 	}
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
+	vb, o, err := p.Build(core.Options{
 		Topology: spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    trace,
 		Rebalance: rebalance.Config{
 			Threshold:         p.Threshold,
 			UpdateInterval:    p.UpdateInterval,
@@ -135,8 +117,7 @@ func RunQoS(p QoSParams) (*QoSOutcome, error) {
 		return nil, err
 	}
 
-	out := &QoSOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &QoSOutcome{Params: p, Observed: o}
 	sipp := workload.NewSIPp(p.Seed + 7)
 
 	// The SIPp VM: modest reservation, generous ceiling — QoS depends on

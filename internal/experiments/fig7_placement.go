@@ -5,11 +5,9 @@ import (
 	"io"
 	"sort"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
-	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/placement"
 	"vbundle/internal/topology"
@@ -32,16 +30,7 @@ type PlacementParams struct {
 	Engine core.EngineKind
 	// ReservationMbps is each VM's bandwidth reservation.
 	ReservationMbps float64
-	// Seed drives all randomness.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	Run
 }
 
 func (p PlacementParams) withDefaults() PlacementParams {
@@ -83,31 +72,20 @@ type WaveOutcome struct {
 
 // PlacementOutcome is the result of RunPlacement.
 type PlacementOutcome struct {
-	Params PlacementParams
-	Waves  []WaveOutcome
-	Engine string
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Params   PlacementParams
+	Waves    []WaveOutcome
+	Engine   string
+	Observed `json:"-"`
 }
 
 // RunPlacement executes the placement experiment.
 func RunPlacement(p PlacementParams) (*PlacementOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
-		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Engine:   p.Engine,
-		Trace:    trace,
-	})
+	vb, o, err := p.Build(core.Options{Topology: p.Spec, Engine: p.Engine})
 	if err != nil {
 		return nil, err
 	}
-	out := &PlacementOutcome{Params: p, Engine: vb.Placer.Name(), Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &PlacementOutcome{Params: p, Engine: vb.Placer.Name(), Observed: o}
 	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: p.ReservationMbps}
 	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: p.ReservationMbps * 2}
 

@@ -6,12 +6,10 @@ import (
 	"math/rand"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
 	"vbundle/internal/metrics"
 	"vbundle/internal/migration"
-	"vbundle/internal/obs"
 	"vbundle/internal/parallel"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/topology"
@@ -45,17 +43,7 @@ type RebalanceParams struct {
 	// AccountMigrationBW charges migration streams to the NICs they cross
 	// (the paper's Fig. 10 ignores this; enabling it is an ablation).
 	AccountMigrationBW bool
-	// Seed drives the synthetic load.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run. The zero value
-	// records nothing; recording never changes experiment metrics.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	// Sweeps are read-only and never change experiment metrics.
-	Audit audit.Config
+	Run
 }
 
 func (p RebalanceParams) withDefaults() RebalanceParams {
@@ -104,10 +92,7 @@ type RebalanceOutcome struct {
 	Migrations, Queries int
 	// MigrationsCompleted counts arrivals.
 	MigrationsCompleted int
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Observed            `json:"-"`
 }
 
 // seedSkewedLoad provisions VMs so each server's utilization is drawn
@@ -140,12 +125,8 @@ func seedSkewedLoad(vb *core.VBundle, vmsPerServer int, meanUtil, spread float64
 // RunRebalance executes the resource-shuffling experiment.
 func RunRebalance(p RebalanceParams) (*RebalanceOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
+	vb, o, err := p.Build(core.Options{
 		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    trace,
 		Rebalance: rebalance.Config{
 			Threshold:         p.Threshold,
 			UpdateInterval:    p.UpdateInterval,
@@ -161,8 +142,7 @@ func RunRebalance(p RebalanceParams) (*RebalanceOutcome, error) {
 		return nil, err
 	}
 
-	out := &RebalanceOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &RebalanceOutcome{Params: p, Observed: o}
 	out.Before = vb.UtilizationSnapshot()
 	out.MeanUtil = vb.Cluster.MeanUtilizationBW()
 

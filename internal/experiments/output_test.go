@@ -12,7 +12,7 @@ import (
 )
 
 func TestWriteSVGsAndJSON(t *testing.T) {
-	out, err := RunQoS(QoSParams{Seed: 1, Duration: 120 * time.Second})
+	out, err := RunQoS(QoSParams{Duration: 120 * time.Second, Run: Run{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPlacementChartsPerWave(t *testing.T) {
 		VMsPerWavePerCustomer: 10,
 		Waves:                 2,
 		Engine:                core.EngineDHT,
-		Seed:                  1,
+		Run:                   Run{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,14 +81,14 @@ func TestRebalanceChartsComplete(t *testing.T) {
 			t.Errorf("missing chart %s", stem)
 		}
 	}
-	sweep, err := RunAggLatency(AggLatencyParams{Sizes: []int{16, 32}, Seed: 1})
+	sweep, err := RunAggLatency(AggLatencyParams{Sizes: []int{16, 32}, Run: Run{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sweep.Charts()["fig14-agg-latency"] == nil {
 		t.Error("missing fig14 chart")
 	}
-	msg, err := RunMessageOverhead(MessageOverheadParams{Sizes: []int{32}, Seed: 1})
+	msg, err := RunMessageOverhead(MessageOverheadParams{Sizes: []int{32}, Run: Run{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

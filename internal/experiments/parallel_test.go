@@ -17,7 +17,7 @@ func TestFig15ParallelMatchesSequential(t *testing.T) {
 		Sizes:        []int{48, 96},
 		Round:        30 * time.Second,
 		VMsPerServer: 3,
-		Seed:         7,
+		Run:          Run{Seed: 7},
 	}
 	seq := base
 	seq.Parallelism = 1
@@ -46,7 +46,7 @@ func TestFig15ParallelMatchesSequential(t *testing.T) {
 }
 
 func TestFig14ParallelMatchesSequential(t *testing.T) {
-	base := AggLatencyParams{Sizes: []int{16, 32, 64, 128}, Seed: 3}
+	base := AggLatencyParams{Sizes: []int{16, 32, 64, 128}, Run: Run{Seed: 3}}
 	seq := base
 	seq.Parallelism = 1
 	par := base

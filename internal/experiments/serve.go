@@ -7,10 +7,8 @@ import (
 	"math/rand"
 	"time"
 
-	"vbundle/internal/audit"
 	"vbundle/internal/cluster"
 	"vbundle/internal/core"
-	"vbundle/internal/obs"
 	"vbundle/internal/placement"
 	"vbundle/internal/rebalance"
 	"vbundle/internal/serve"
@@ -70,15 +68,7 @@ type ServeParams struct {
 	// RecordPlacements captures the final customer→placements table in the
 	// outcome (for equivalence tests; large at scale, so off by default).
 	RecordPlacements bool
-	// Seed drives all randomness.
-	Seed int64
-	// Shards selects the engine mode (0 = serial reference, K ≥ 1 = K-shard
-	// parallel engine); virtual-time results are identical at any setting.
-	Shards int
-	// Obs configures the flight recorder for this run.
-	Obs obs.Config
-	// Audit configures the online invariant auditor (Every <= 0 disables).
-	Audit audit.Config
+	Run
 }
 
 func (p ServeParams) withDefaults() ServeParams {
@@ -170,21 +160,14 @@ type ServeOutcome struct {
 	// Placements is the final placement table (RecordPlacements only),
 	// ordered by customer then VM id.
 	Placements []PlacedVM `json:",omitempty"`
-	// Trace is the run's flight recorder (nil when Params.Obs is disabled).
-	Trace *obs.Trace `json:"-"`
-	// Audit is the run's auditor (nil when Params.Audit is disabled).
-	Audit *audit.Auditor `json:"-"`
+	Observed   `json:"-"`
 }
 
 // RunServe executes the serving experiment.
 func RunServe(p ServeParams) (*ServeOutcome, error) {
 	p = p.withDefaults()
-	trace := p.Obs.New()
-	vb, err := core.New(core.Options{
+	vb, o, err := p.Build(core.Options{
 		Topology: p.Spec,
-		Seed:     p.Seed,
-		Shards:   p.Shards,
-		Trace:    trace,
 		Rebalance: rebalance.Config{
 			UpdateInterval:    p.RebalanceUpdateEvery,
 			RebalanceInterval: p.RebalanceEvery,
@@ -206,8 +189,7 @@ func RunServe(p ServeParams) (*ServeOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &ServeOutcome{Params: p, Trace: trace}
-	out.Audit = vb.AttachAudit(p.Audit)
+	out := &ServeOutcome{Params: p, Observed: o}
 	rsv := cluster.Resources{CPU: 0.5, MemMB: 128, BandwidthMbps: p.ReservationMbps}
 	lim := cluster.Resources{CPU: 2, MemMB: 128, BandwidthMbps: p.ReservationMbps * 2}
 

@@ -33,8 +33,7 @@ func serveTestParams(shards int) ServeParams {
 		Cache:           true,
 		Batch:           true,
 		MaxInFlight:     64,
-		Seed:            7,
-		Shards:          shards,
+		Run:             Run{Seed: 7, Shards: shards},
 	}
 }
 
@@ -144,7 +143,7 @@ func TestServeFlashCrowdSheds(t *testing.T) {
 		Cache:           true,
 		Batch:           true,
 		MaxInFlight:     32,
-		Seed:            3,
+		Run:             Run{Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +179,7 @@ func TestServeCacheAndBatchingCutServingCost(t *testing.T) {
 			Prewarm:    2,
 			Cache:      cache,
 			Batch:      batch,
-			Seed:       7,
+			Run:        Run{Seed: 7},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -52,8 +52,8 @@ func (c Config) New() *Trace {
 	return t
 }
 
-// Flags is the shared -trace / -trace-ring / -counters flag set every
-// cmd/vb-* binary exposes, mirroring internal/profiling's pattern.
+// Flags is the shared -trace / -trace-ring / -counters / -sample-every flag
+// set every run binary exposes through experiments.Flags.
 type Flags struct {
 	// Path is the trace_event JSON output file (-trace). Without
 	// -trace-ring it selects the full streaming recorder.

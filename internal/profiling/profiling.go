@@ -1,7 +1,8 @@
 // Package profiling gives every experiment binary the same two pprof flags.
 // The scaling work in this repository is profile-driven (see DESIGN.md), so
-// each command wires -cpuprofile and -memprofile through this package rather
-// than reimplementing runtime/pprof bookkeeping.
+// the run binaries get -cpuprofile and -memprofile from this package,
+// through experiments.Flags, rather than reimplementing runtime/pprof
+// bookkeeping.
 package profiling
 
 import (

@@ -30,12 +30,12 @@ func BenchmarkEngineSchedule(b *testing.B) {
 // the backlog, bucket ops O(1) amortized).
 func BenchmarkEngineQueueKinds(b *testing.B) {
 	for _, kind := range []struct {
-		name string
-		k    QueueKind
-	}{{"bucket", QueueBucket}, {"heap", QueueHeap}} {
+		name      string
+		newEngine func(seed int64) *Engine
+	}{{"bucket", NewEngine}, {"heap", newHeapEngine}} {
 		for _, backlog := range []int{1024, 16384} {
 			b.Run(fmt.Sprintf("%s/backlog=%d", kind.name, backlog), func(b *testing.B) {
-				e := NewEngineWithQueue(1, kind.k)
+				e := kind.newEngine(1)
 				fn := func() {}
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -1,11 +1,48 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
+
+// heapQueue is the reference pending-event store: the original binary
+// min-heap (O(log n) per operation). The equivalence property test replays
+// identical traces against it and the bucketed calendar queue, and the
+// benchmarks A/B the two.
+type heapQueue struct {
+	h eventHeap
+}
+
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
+func (q *heapQueue) pop() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.h).(*event)
+}
+func (q *heapQueue) front() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+func (q *heapQueue) nextAt() (time.Duration, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].at, true
+}
+func (q *heapQueue) len() int { return len(q.h) }
+
+// newHeapEngine is NewEngine on the reference heap store.
+func newHeapEngine(seed int64) *Engine {
+	e := NewEngine(seed)
+	e.events = &heapQueue{}
+	return e
+}
 
 // traceRun drives one engine through a pseudo-random schedule/cancel/run
 // trace and returns the execution log: one "<label>@<now>" entry per
@@ -13,9 +50,9 @@ import (
 // rand.Rand (not the engine's) so both queue kinds see byte-identical
 // inputs; the log captures the queue's observable behavior completely —
 // execution order and clock value at each firing.
-func traceRun(kind QueueKind, seed int64) []string {
+func traceRun(newEngine func(seed int64) *Engine, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
-	e := NewEngineWithQueue(1, kind)
+	e := newEngine(1)
 	var log []string
 	var label int
 
@@ -108,8 +145,8 @@ func TestQueueEquivalence(t *testing.T) {
 		seeds = 10
 	}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		heapLog := traceRun(QueueHeap, seed)
-		bucketLog := traceRun(QueueBucket, seed)
+		heapLog := traceRun(newHeapEngine, seed)
+		bucketLog := traceRun(NewEngine, seed)
 		if len(heapLog) != len(bucketLog) {
 			t.Fatalf("seed %d: heap executed %d callbacks, bucket %d",
 				seed, len(heapLog), len(bucketLog))

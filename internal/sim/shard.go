@@ -191,13 +191,13 @@ func NewShardedEngine(seed int64, shards int) *Engine {
 	if shards < 1 {
 		shards = 1
 	}
-	r := NewEngineWithQueue(seed, QueueBucket)
+	r := NewEngine(seed)
 	r.shards = make([]*Engine, shards)
 	for i := range r.shards {
 		// Shard rngs get derived seeds; deterministic code must not draw
 		// from them (the draw order would depend on the shard layout), and
 		// the simulation stack doesn't — nodes use per-node streams.
-		s := NewEngineWithQueue(seed+int64(i)*0x9E37+1, QueueBucket)
+		s := NewEngine(seed + int64(i)*0x9E37 + 1)
 		s.root = r
 		s.shardIdx = i
 		r.shards[i] = s

@@ -32,26 +32,10 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 
 	"vbundle/internal/obs"
-)
-
-// QueueKind selects the engine's pending-event store.
-type QueueKind int
-
-const (
-	// QueueBucket is the default: a calendar queue that buckets events by
-	// timestamp (O(1) amortized schedule/pop for the near future, a heap
-	// only for far-future overflow). See bucketQueue.
-	QueueBucket QueueKind = iota
-	// QueueHeap is the original binary min-heap (O(log n) per operation).
-	// It is retained as the reference implementation: the equivalence
-	// property test replays identical traces against both stores, and the
-	// benchmarks A/B them.
-	QueueHeap
 )
 
 // Same-instant events execute in key order, then scheduling order. The key's
@@ -86,7 +70,9 @@ const (
 
 // eventQueue stores pending events ordered by (at, key, seq). Exactly one
 // goroutine touches it at a time (the engine's, or during sharded barriers
-// the root's).
+// the root's). Engines run on the bucketed calendar queue (bucketQueue);
+// the tests install a binary-heap reference store through this interface
+// and replay identical traces against both.
 type eventQueue interface {
 	push(*event)
 	// pop removes and returns the earliest event, or nil when empty.
@@ -151,21 +137,12 @@ type Engine struct {
 // NewEngine returns a serial engine whose clock starts at zero and whose
 // random source is seeded with seed, making runs reproducible.
 func NewEngine(seed int64) *Engine {
-	return NewEngineWithQueue(seed, QueueBucket)
-}
-
-// NewEngineWithQueue is NewEngine with an explicit pending-event store; the
-// two stores execute identical traces in identical order (asserted by the
-// queue equivalence tests), differing only in cost.
-func NewEngineWithQueue(seed int64, kind QueueKind) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed, samplerNext: infTime}
-	switch kind {
-	case QueueHeap:
-		e.events = &heapQueue{}
-	default:
-		e.events = newBucketQueue()
+	return &Engine{
+		rng:         rand.New(rand.NewSource(seed)),
+		seed:        seed,
+		events:      newBucketQueue(),
+		samplerNext: infTime,
 	}
-	return e
 }
 
 // Now returns the current virtual time.
@@ -218,32 +195,6 @@ func (h *eventHeap) Pop() (popped any) {
 	*h = old[:n-1]
 	return
 }
-
-// heapQueue adapts the binary heap to the eventQueue interface.
-type heapQueue struct {
-	h eventHeap
-}
-
-func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*event)
-}
-func (q *heapQueue) front() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
-func (q *heapQueue) nextAt() (time.Duration, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].at, true
-}
-func (q *heapQueue) len() int { return len(q.h) }
 
 // mustInit catches use of a zero-value Engine (a nil-pointer deref waiting
 // to happen deep inside an experiment) with an explanation at the call site.

@@ -30,7 +30,8 @@ func TestFig14BytesPerServerCeiling(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	out, err := experiments.RunAggLatency(experiments.AggLatencyParams{
-		Sizes: []int{servers}, Seed: 1, Parallelism: 1, Shards: 4,
+		Sizes: []int{servers}, Parallelism: 1,
+		Run: experiments.Run{Seed: 1, Shards: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

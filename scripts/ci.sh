@@ -12,6 +12,11 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# Information only, not a gate: the net non-test Go line count the
+# subtraction work in ROADMAP.md tracks.
+echo "== net non-test Go LOC"
+./scripts/loc.sh
+
 echo "== go test"
 go test ./...
 
